@@ -14,6 +14,7 @@ use crate::storage::col_store::{ColRef, ColumnData, RleRuns};
 use qpe_sql::ast::BinaryOp;
 use qpe_sql::binder::BoundExpr;
 use qpe_sql::value::Value;
+use std::borrow::Cow;
 
 /// The schema of an intermediate row: which `(table_slot, column_idx)` pair
 /// each position holds.
@@ -100,7 +101,18 @@ impl std::error::Error for EvalError {}
 
 /// Evaluates `expr` against `row` laid out by `schema`.
 pub fn eval(expr: &BoundExpr, schema: &Schema, row: &[Value]) -> Result<Value, EvalError> {
-    match expr {
+    eval_ref(expr, schema, row).map(Cow::into_owned)
+}
+
+/// [`eval`] that borrows column cells and literals instead of cloning
+/// them: only computed values are owned, so a comparison of a column with
+/// a literal (a string one included) allocates nothing.
+fn eval_ref<'r>(
+    expr: &'r BoundExpr,
+    schema: &Schema,
+    row: &'r [Value],
+) -> Result<Cow<'r, Value>, EvalError> {
+    let owned = match expr {
         BoundExpr::Column(c) => {
             let pos = schema
                 .position(c.table_slot, c.column_idx)
@@ -108,74 +120,89 @@ pub fn eval(expr: &BoundExpr, schema: &Schema, row: &[Value]) -> Result<Value, E
                     table_slot: c.table_slot,
                     column_idx: c.column_idx,
                 })?;
-            Ok(row[pos].clone())
+            return Ok(Cow::Borrowed(&row[pos]));
         }
-        BoundExpr::Literal(v) => Ok(v.clone()),
+        BoundExpr::Literal(v) => return Ok(Cow::Borrowed(v)),
         BoundExpr::Binary { left, op, right } => {
-            let l = eval(left, schema, row)?;
-            let r = eval(right, schema, row)?;
-            eval_binary(&l, *op, &r)
+            let l = eval_ref(left, schema, row)?;
+            let r = eval_ref(right, schema, row)?;
+            eval_binary(&l, *op, &r)?
         }
         BoundExpr::Not(inner) => {
-            let v = eval(inner, schema, row)?;
-            Ok(Value::Int(if truthy(&v) { 0 } else { 1 }))
+            let v = eval_ref(inner, schema, row)?;
+            Value::Int(if truthy(&v) { 0 } else { 1 })
         }
         BoundExpr::InList { expr, list, negated } => {
-            let v = eval(expr, schema, row)?;
+            let v = eval_ref(expr, schema, row)?;
             let found = list.iter().any(|item| v.sql_eq(item));
-            Ok(bool_val(found != *negated && !(v.is_null())))
+            bool_val(found != *negated && !(v.is_null()))
         }
         // Parameterized IN lists are lowered to `InList` by parameter
         // substitution before execution; reaching one here means a
         // placeholder was never bound.
         BoundExpr::InListParam { items, .. } => {
-            Err(EvalError::UnboundParam(first_param_idx(items)))
+            return Err(EvalError::UnboundParam(first_param_idx(items)))
         }
         BoundExpr::Between { expr, low, high } => {
-            let v = eval(expr, schema, row)?;
-            let lo = eval(low, schema, row)?;
-            let hi = eval(high, schema, row)?;
+            let v = eval_ref(expr, schema, row)?;
+            let lo = eval_ref(low, schema, row)?;
+            let hi = eval_ref(high, schema, row)?;
             if v.is_null() || lo.is_null() || hi.is_null() {
-                return Ok(bool_val(false));
+                return Ok(Cow::Owned(bool_val(false)));
             }
             let ge = v.total_cmp(&lo) != std::cmp::Ordering::Less;
             let le = v.total_cmp(&hi) != std::cmp::Ordering::Greater;
-            Ok(bool_val(ge && le))
+            bool_val(ge && le)
         }
         BoundExpr::Like { expr, pattern, negated } => {
-            let v = eval(expr, schema, row)?;
+            let v = eval_ref(expr, schema, row)?;
             match v.as_str() {
-                Some(s) => Ok(bool_val(like_match(s, pattern) != *negated)),
-                None => Ok(bool_val(false)),
+                Some(s) => bool_val(like_match(s, pattern) != *negated),
+                None => bool_val(false),
             }
         }
         BoundExpr::IsNull { expr, negated } => {
-            let v = eval(expr, schema, row)?;
-            Ok(bool_val(v.is_null() != *negated))
+            let v = eval_ref(expr, schema, row)?;
+            bool_val(v.is_null() != *negated)
         }
         BoundExpr::Substring { expr, start, len } => {
-            let v = eval(expr, schema, row)?;
-            match v {
+            let v = eval_ref(expr, schema, row)?;
+            match &*v {
                 Value::Str(s) => {
                     let chars: Vec<char> = s.chars().collect();
                     let from = (*start as usize).saturating_sub(1).min(chars.len());
                     let to = (from + *len as usize).min(chars.len());
-                    Ok(Value::Str(chars[from..to].iter().collect()))
+                    Value::Str(chars[from..to].iter().collect())
                 }
-                Value::Null => Ok(Value::Null),
-                other => Err(EvalError::Type(format!(
-                    "SUBSTRING expects a string, got {other}"
-                ))),
+                Value::Null => Value::Null,
+                other => {
+                    return Err(EvalError::Type(format!(
+                        "SUBSTRING expects a string, got {other}"
+                    )))
+                }
             }
         }
-        BoundExpr::Aggregate { .. } => Err(EvalError::AggregateInScalarContext),
-        BoundExpr::Param { idx, .. } => Err(EvalError::UnboundParam(*idx)),
-    }
+        BoundExpr::Aggregate { .. } => return Err(EvalError::AggregateInScalarContext),
+        BoundExpr::Param { idx, .. } => return Err(EvalError::UnboundParam(*idx)),
+    };
+    Ok(Cow::Owned(owned))
 }
 
 /// Evaluates a predicate to a boolean.
+///
+/// The commonest conjunct shape, a column compared with a literal, is
+/// evaluated directly on the borrowed cell — the same `eval_binary` call
+/// the general path makes, without its recursion. A column missing from the
+/// layout falls through to the general path and its error.
 pub fn eval_predicate(expr: &BoundExpr, schema: &Schema, row: &[Value]) -> Result<bool, EvalError> {
-    Ok(truthy(&eval(expr, schema, row)?))
+    if let BoundExpr::Binary { left, op, right } = expr {
+        if let (BoundExpr::Column(c), BoundExpr::Literal(lit)) = (&**left, &**right) {
+            if let Some(pos) = schema.position(c.table_slot, c.column_idx) {
+                return Ok(truthy(&eval_binary(&row[pos], *op, lit)?));
+            }
+        }
+    }
+    Ok(truthy(&*eval_ref(expr, schema, row)?))
 }
 
 fn bool_val(b: bool) -> Value {

@@ -6,7 +6,7 @@
 //! values substituted in.
 
 use super::guard::ExecGuard;
-use super::{ExecError, Row, WorkCounters, GUARD_CHECK_ROWS};
+use super::{ExecError, Row, RowRef, WorkCounters, GUARD_CHECK_ROWS};
 use crate::eval::{eval, truthy, EvalError, Schema};
 use crate::plan::AggSpec;
 use crate::storage::col_store::{ColumnData, DictColumn};
@@ -245,7 +245,7 @@ fn eval_with_aggs(
 #[allow(clippy::too_many_arguments)]
 pub fn aggregate(
     counters: &mut WorkCounters,
-    input: &[Row],
+    input: &[RowRef<'_>],
     schema: &Schema,
     group_by: &[BoundExpr],
     outputs: &[AggSpec],
@@ -259,6 +259,9 @@ pub fn aggregate(
     // both strategies; the sort-vs-hash distinction is carried by the work
     // counters, which is what the latency model consumes.
     let mut groups: BTreeMap<Vec<KeyWrap>, Vec<AggState>> = BTreeMap::new();
+    // One key buffer for the whole input: a row whose group already exists
+    // allocates no key; only a new group's first row copies it.
+    let mut key: Vec<KeyWrap> = Vec::with_capacity(group_by.len());
     for (i, row) in input.iter().enumerate() {
         if i % GUARD_CHECK_ROWS == 0 {
             guard.check()?;
@@ -268,13 +271,16 @@ pub fn aggregate(
             // sort-based grouping pays comparison costs
             counters.sort_comparisons += 1;
         }
-        let key: Vec<KeyWrap> = group_by
-            .iter()
-            .map(|g| eval(g, schema, row).map(KeyWrap))
-            .collect::<Result<_, _>>()?;
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| leaves.iter().map(|_| AggState::new()).collect());
+        key.clear();
+        for g in group_by {
+            key.push(KeyWrap(eval(g, schema, row)?));
+        }
+        let states = match groups.get_mut(&key) {
+            Some(states) => states,
+            None => groups
+                .entry(key.clone())
+                .or_insert_with(|| leaves.iter().map(|_| AggState::new()).collect()),
+        };
         for (leaf, state) in leaves.iter().zip(states.iter_mut()) {
             let v = match &leaf.arg {
                 Some(a) => Some(eval(a, schema, row)?),

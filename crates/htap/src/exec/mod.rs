@@ -21,6 +21,38 @@
 //! `QPE_AP_THREADS` / `QPE_MORSEL_ROWS` override it) — [`execute_with`]
 //! takes one explicitly, and `threads == 1` is the exact serial batch path.
 //!
+//! # The row interpreter
+//!
+//! Rows flow between interpreter operators as [`RowRef`]s
+//! (`Cow<'_, [Value]>`). TP table scans and index fetches *borrow* their
+//! rows from the row store, which the statement holds under its read lock
+//! for as long as the interpreter runs; AP gathers are owned. Filter,
+//! Sort, Limit and Aggregate pass borrowed rows through untouched, so a
+//! row is copied only where an operator builds a new one (join output,
+//! projection) or at the final output. The hot kernels work on flat data
+//! rather than per-row pointers, and build no more than is read:
+//!
+//! * the **nested-loop join** flattens the inner side's join keys into one
+//!   contiguous `i64` column per key when every inner key is an `Int`, and
+//!   compares `Int` outer keys against it directly; any other key falls back
+//!   to per-pair [`Value::sql_eq`], so cross-type equality and
+//!   NULL-never-matches are unchanged;
+//! * the **full sort** evaluates its keys once into one flat column per key
+//!   (`i64` / `f64` when every value of the key allows) and orders a `u32`
+//!   permutation by (keys, input position) — the stable order. A Sort
+//!   directly under a Limit selects the `limit + offset` prefix of that
+//!   order before sorting only the prefix;
+//! * **joins** copy into their output rows only the cells some ancestor
+//!   reads (`Needs`), so each operator's rows come with their own layout
+//!   (`Output::schema`) that ancestors resolve positions through.
+//!
+//! **Kernel contract:** a kernel may change wall-clock time, never rows,
+//! their order, [`WorkCounters`], guard checks or guard memory charges.
+//! Counters are charged by the same formulas as the per-pair / per-row
+//! loops they replace (`nlj_pairs` as `outer × inner`, `sort_comparisons`
+//! as n·log2 n of the full input, fused prefix or not), and guard checks
+//! fire at the same points.
+//!
 //! **Determinism contract:** every mode returns byte-identical rows *and*
 //! identical [`WorkCounters`] for the same plan — parallel merges are
 //! order-restoring (morsel order = serial order), grouped folds pin each
@@ -33,6 +65,8 @@
 
 mod agg;
 pub mod guard;
+#[cfg(test)]
+mod kernel_tests;
 pub mod parallel;
 mod sort;
 pub mod vector;
@@ -45,13 +79,20 @@ use crate::engine::{Database, EngineKind};
 use crate::eval::{eval, eval_predicate, EvalError, Schema};
 use crate::plan::{IndexLookup, PlanNode, PlanOp, PlanTerm};
 use crate::storage::{ScanPruner, StoredTable};
-use qpe_sql::binder::{BoundDml, BoundExpr, BoundQuery};
+use qpe_sql::binder::{BoundDml, BoundExpr, BoundQuery, ColumnRef};
 use qpe_sql::catalog::Catalog;
 use qpe_sql::value::Value;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 /// A materialized row.
 pub type Row = Vec<Value>;
+
+/// A row in flight through the row interpreter: borrowed from the row store
+/// (TP scans and index fetches) or owned (AP gathers and every row an
+/// operator builds). See the module docs.
+pub type RowRef<'a> = Cow<'a, [Value]>;
 
 /// Work performed during one plan execution; the latency model's input.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -221,9 +262,9 @@ pub(crate) fn execute_scalar_guarded(
     guard: &ExecGuard,
 ) -> Result<(Vec<Row>, WorkCounters), ExecError> {
     let mut ex = Executor { query, db, engine, counters: WorkCounters::default(), guard };
-    let rows = ex.run(plan)?;
+    let rows = ex.run(plan, &Needs::All)?.rows;
     ex.counters.output_rows = rows.len() as u64;
-    Ok((rows, ex.counters))
+    Ok((rows.into_iter().map(Cow::into_owned).collect(), ex.counters))
 }
 
 /// Rows between cooperative guard checks in scalar per-row loops: frequent
@@ -269,6 +310,86 @@ fn term_values(terms: &[PlanTerm]) -> Result<Vec<&Value>, ExecError> {
     terms.iter().map(term_value).collect()
 }
 
+/// True when `columns` selects a stored row of `width` cells whole and in
+/// order — the case where a scan can hand the stored row out borrowed.
+fn is_whole_row(columns: &[usize], width: usize) -> bool {
+    columns.len() == width && columns.iter().copied().eq(0..width)
+}
+
+/// A stored row as a scan emits it: borrowed when the scan reads it whole,
+/// else the selected cells copied into an owned row.
+fn stored_row<'a>(full: &'a [Value], columns: &[usize], whole: bool) -> RowRef<'a> {
+    if whole {
+        Cow::Borrowed(full)
+    } else {
+        Cow::Owned(columns.iter().map(|&c| full[c].clone()).collect())
+    }
+}
+
+/// The cells a join copies into its output rows: the positions, in the
+/// outer and in the inner row, of the columns some ancestor reads, and the
+/// layout (schema) of the rows built from them. A cell no ancestor reads is
+/// never copied (late materialization); ancestors resolve positions through
+/// the returned schema, so the narrower rows line up by construction.
+struct JoinPicks {
+    outer: Vec<usize>,
+    inner: Vec<usize>,
+    schema: Schema,
+}
+
+impl JoinPicks {
+    fn new(outer: &Schema, inner: &Schema, needs: &Needs) -> JoinPicks {
+        let pick = |s: &Schema| -> Vec<usize> {
+            let cols = s.columns();
+            (0..cols.len()).filter(|&p| needs.contains(cols[p].0, cols[p].1)).collect()
+        };
+        let (o, i) = (pick(outer), pick(inner));
+        let schema = Schema::new(
+            o.iter()
+                .map(|&p| outer.columns()[p])
+                .chain(i.iter().map(|&p| inner.columns()[p]))
+                .collect(),
+        );
+        JoinPicks { outer: o, inner: i, schema }
+    }
+
+    /// The output row joining `outer` with `inner`.
+    fn row(&self, outer: &[Value], inner: &[Value]) -> Row {
+        let mut row = Vec::with_capacity(self.outer.len() + self.inner.len());
+        row.extend(self.outer.iter().map(|&p| outer[p].clone()));
+        row.extend(self.inner.iter().map(|&p| inner[p].clone()));
+        row
+    }
+}
+
+/// An operator's output: its rows and the layout they are in. Scans,
+/// filters, sorts and limits keep the plan's layout; joins narrow it to
+/// the columns their ancestors read; aggregates and projections emit
+/// final rows.
+struct Output<'a> {
+    rows: Vec<RowRef<'a>>,
+    schema: Schema,
+}
+
+impl<'a> Output<'a> {
+    fn new(rows: Vec<RowRef<'a>>, schema: Schema) -> Self {
+        Output { rows, schema }
+    }
+
+    /// Final (projected) rows, which no plan position refers into.
+    fn finished(rows: Vec<RowRef<'a>>) -> Self {
+        Output { rows, schema: Schema::new(Vec::new()) }
+    }
+}
+
+/// Position of a join key in an input layout; `missing` is the plan error
+/// when it is not there.
+fn key_position(schema: &Schema, key: &ColumnRef, missing: &str) -> Result<usize, ExecError> {
+    schema
+        .position(key.table_slot, key.column_idx)
+        .ok_or_else(|| ExecError::BadPlan(missing.into()))
+}
+
 pub(crate) struct Executor<'a> {
     query: &'a BoundQuery,
     db: &'a Database,
@@ -277,25 +398,28 @@ pub(crate) struct Executor<'a> {
     guard: &'a ExecGuard,
 }
 
-impl Executor<'_> {
-    fn run(&mut self, node: &PlanNode) -> Result<Vec<Row>, ExecError> {
+impl<'a> Executor<'a> {
+    /// Runs `node`; `needs` names the output columns some ancestor reads
+    /// (see [`Needs`]) — rows an operator builds copy only those cells.
+    fn run(&mut self, node: &PlanNode, needs: &Needs) -> Result<Output<'a>, ExecError> {
         self.guard.check()?;
         match &node.op {
             PlanOp::TableScan { table_slot, columns, pushed } => {
-                self.table_scan(*table_slot, columns, pushed.as_ref())
+                let rows = self.table_scan(*table_slot, columns, pushed.as_ref())?;
+                Ok(Output::new(rows, node.output_schema()))
             }
             PlanOp::IndexScan { table_slot, column_idx, lookup, columns } => {
-                self.index_scan(*table_slot, *column_idx, lookup, columns)
+                let rows = self.index_scan(*table_slot, *column_idx, lookup, columns)?;
+                Ok(Output::new(rows, node.output_schema()))
             }
             PlanOp::IndexProbe { .. } => Err(ExecError::BadPlan(
                 "IndexProbe executed outside IndexNLJoin".into(),
             )),
             PlanOp::Filter { predicate } => {
-                let child = &node.children[0];
-                let schema = child.output_schema();
-                let input = self.run(child)?;
+                let Output { rows, schema } =
+                    self.run(&node.children[0], &needs.with_exprs([predicate]))?;
                 let mut out = Vec::new();
-                for (i, row) in input.into_iter().enumerate() {
+                for (i, row) in rows.into_iter().enumerate() {
                     if i % GUARD_CHECK_ROWS == 0 {
                         self.guard.check()?;
                     }
@@ -304,56 +428,37 @@ impl Executor<'_> {
                         out.push(row);
                     }
                 }
-                Ok(out)
+                Ok(Output::new(out, schema))
             }
             PlanOp::NestedLoopJoin { conds, residual } => {
-                let outer_node = &node.children[0];
-                let inner_node = &node.children[1];
-                let outer_schema = outer_node.output_schema();
-                let inner_schema = inner_node.output_schema();
-                let out_schema = outer_schema.concat(&inner_schema);
-                let outer = self.run(outer_node)?;
-                let inner = self.run(inner_node)?;
-                // Pre-resolve key positions.
+                // The residual reads the built row; the keys only the inputs.
+                let row_needs = needs.with_exprs(residual);
+                let child_needs = row_needs
+                    .with_keys(&conds.iter().flat_map(|c| [c.left, c.right]).collect::<Vec<_>>());
+                let outer = self.run(&node.children[0], &child_needs)?;
+                let inner = self.run(&node.children[1], &child_needs)?;
                 let keys: Vec<(usize, usize)> = conds
                     .iter()
                     .map(|c| {
-                        let l = outer_schema
-                            .position(c.left.table_slot, c.left.column_idx)
-                            .ok_or_else(|| ExecError::BadPlan("NLJ left key not in outer".into()))?;
-                        let r = inner_schema
-                            .position(c.right.table_slot, c.right.column_idx)
-                            .ok_or_else(|| ExecError::BadPlan("NLJ right key not in inner".into()))?;
-                        Ok((l, r))
+                        Ok((
+                            key_position(&outer.schema, &c.left, "NLJ left key not in outer")?,
+                            key_position(&inner.schema, &c.right, "NLJ right key not in inner")?,
+                        ))
                     })
                     .collect::<Result<_, ExecError>>()?;
-                let mut out = Vec::new();
-                let mut pairs_since_check = 0usize;
-                for o in &outer {
-                    pairs_since_check += inner.len();
-                    if pairs_since_check >= GUARD_CHECK_ROWS {
-                        pairs_since_check = 0;
-                        self.guard.check()?;
-                    }
-                    for i in &inner {
-                        self.counters.nlj_pairs += 1;
-                        if keys.iter().all(|&(l, r)| o[l].sql_eq(&i[r])) {
-                            let mut row = o.clone();
-                            row.extend_from_slice(i);
-                            if let Some(resid) = residual {
-                                self.counters.filter_evals += 1;
-                                if !eval_predicate(resid, &out_schema, &row)? {
-                                    continue;
-                                }
-                            }
-                            out.push(row);
-                        }
-                    }
-                }
-                Ok(out)
+                let picks = JoinPicks::new(&outer.schema, &inner.schema, &row_needs);
+                let rows = nested_loop_join(
+                    &mut self.counters,
+                    self.guard,
+                    &outer.rows,
+                    &inner.rows,
+                    &keys,
+                    residual.as_ref(),
+                    &picks,
+                )?;
+                Ok(Output::new(rows, picks.schema))
             }
             PlanOp::IndexNLJoin { outer_key } => {
-                let outer_node = &node.children[0];
                 let probe_node = &node.children[1];
                 let PlanOp::IndexProbe { table_slot, column_idx, residual, columns } =
                     &probe_node.op
@@ -362,24 +467,26 @@ impl Executor<'_> {
                         "IndexNLJoin inner child must be IndexProbe".into(),
                     ));
                 };
-                let outer_schema = outer_node.output_schema();
                 let probe_schema = probe_node.output_schema();
-                let key_pos = outer_schema
-                    .position(outer_key.table_slot, outer_key.column_idx)
-                    .ok_or_else(|| ExecError::BadPlan("IndexNLJ outer key missing".into()))?;
-                let outer = self.run(outer_node)?;
+                // Checked against the plan before the outer side runs; the
+                // key is then found in whatever layout the outer side built.
+                const NO_OUTER_KEY: &str = "IndexNLJ outer key missing";
+                key_position(&node.children[0].output_schema(), outer_key, NO_OUTER_KEY)?;
+                let outer = self.run(&node.children[0], &needs.with_keys(&[*outer_key]))?;
+                let key_pos = key_position(&outer.schema, outer_key, NO_OUTER_KEY)?;
+                let picks = JoinPicks::new(&outer.schema, &probe_schema, needs);
+                let db = self.db;
                 // Borrow the name once — no per-execution String rebuild.
                 let table_name: &str = &self.query.tables[*table_slot].name;
-                let table = self
-                    .db
+                let table = db
                     .row_table(table_name)
                     .ok_or_else(|| ExecError::MissingTable(table_name.to_string()))?;
                 let index = table.index_on(*column_idx).ok_or_else(|| {
                     ExecError::BadPlan(format!("no index on {table_name}.{column_idx}"))
                 })?;
+                let whole = is_whole_row(columns, table.width());
                 let mut out = Vec::new();
-                let out_width = outer_schema.len() + columns.len();
-                for (oi, o) in outer.iter().enumerate() {
+                for (oi, o) in outer.rows.iter().enumerate() {
                     if oi % GUARD_CHECK_ROWS == 0 {
                         self.guard.check()?;
                     }
@@ -388,56 +495,47 @@ impl Executor<'_> {
                     self.counters.index_fetches += rids.len() as u64;
                     for &rid in rids {
                         self.counters.rows_scanned += 1;
-                        let full = table.row(rid as usize);
-                        // Build the joined row in place: outer prefix plus
-                        // fetched inner cells, one allocation, no
-                        // intermediate inner-row vector.
-                        let mut row: Row = Vec::with_capacity(out_width);
-                        row.extend_from_slice(o);
-                        row.extend(columns.iter().map(|&c| full[c].clone()));
+                        // The fetched row is read in place: the residual
+                        // evaluates on it, and only picked cells are copied.
+                        let probed = stored_row(table.row(rid as usize), columns, whole);
                         if let Some(resid) = residual {
                             self.counters.filter_evals += 1;
-                            if !eval_predicate(resid, &probe_schema, &row[o.len()..])? {
+                            if !eval_predicate(resid, &probe_schema, &probed)? {
                                 continue;
                             }
                         }
-                        out.push(row);
+                        out.push(Cow::Owned(picks.row(o, &probed)));
                     }
                 }
-                Ok(out)
+                Ok(Output::new(out, picks.schema))
             }
             PlanOp::HashJoin { probe_keys, build_keys } => {
-                let probe_node = &node.children[0];
                 let hash_node = &node.children[1];
-                let probe_schema = probe_node.output_schema();
-                let build_schema = hash_node.output_schema();
+                let child_needs = needs.with_keys(probe_keys).with_keys(build_keys);
                 // Hash node is a pass-through marker; execute its child.
-                let build_rows = self.run(&hash_node.children[0])?;
-                let probe_rows = self.run(probe_node)?;
+                let build = self.run(&hash_node.children[0], &child_needs)?;
+                let probe = self.run(&node.children[0], &child_needs)?;
                 let bpos: Vec<usize> = build_keys
                     .iter()
-                    .map(|k| {
-                        build_schema
-                            .position(k.table_slot, k.column_idx)
-                            .ok_or_else(|| ExecError::BadPlan("hash build key missing".into()))
-                    })
+                    .map(|k| key_position(&build.schema, k, "hash build key missing"))
                     .collect::<Result<_, _>>()?;
                 let ppos: Vec<usize> = probe_keys
                     .iter()
-                    .map(|k| {
-                        probe_schema
-                            .position(k.table_slot, k.column_idx)
-                            .ok_or_else(|| ExecError::BadPlan("hash probe key missing".into()))
-                    })
+                    .map(|k| key_position(&probe.schema, k, "hash probe key missing"))
                     .collect::<Result<_, _>>()?;
+                let picks = JoinPicks::new(&probe.schema, &build.schema, needs);
+                // The memory charge prices the plan's build layout, however
+                // narrow the rows that reach it.
+                let build_width = hash_node.output_schema().len();
+                let (build_rows, probe_rows) = (&build.rows, &probe.rows);
                 // Keys borrow from the build/probe rows — no per-row
                 // `Vec<Value>` clone. Single-key joins (the common case)
                 // skip the key vector entirely.
                 self.guard
-                    .charge_cells(build_rows.len() as u64 * build_schema.len().max(1) as u64)?;
+                    .charge_cells(build_rows.len() as u64 * build_width.max(1) as u64)?;
                 let mut out = Vec::new();
                 if let (&[bp], &[pp]) = (&bpos[..], &ppos[..]) {
-                    let mut table: HashMap<&Value, Vec<&Row>> =
+                    let mut table: HashMap<&Value, Vec<&[Value]>> =
                         HashMap::with_capacity(build_rows.len());
                     for (i, row) in build_rows.iter().enumerate() {
                         if i % GUARD_CHECK_ROWS == 0 {
@@ -456,15 +554,11 @@ impl Executor<'_> {
                             continue;
                         }
                         if let Some(matches) = table.get(&row[pp]) {
-                            for m in matches {
-                                let mut r = row.clone();
-                                r.extend_from_slice(m);
-                                out.push(r);
-                            }
+                            out.extend(matches.iter().map(|m| Cow::Owned(picks.row(row, m))));
                         }
                     }
                 } else {
-                    let mut table: HashMap<Vec<&Value>, Vec<&Row>> =
+                    let mut table: HashMap<Vec<&Value>, Vec<&[Value]>> =
                         HashMap::with_capacity(build_rows.len());
                     for (i, row) in build_rows.iter().enumerate() {
                         if i % GUARD_CHECK_ROWS == 0 {
@@ -486,70 +580,72 @@ impl Executor<'_> {
                             continue;
                         }
                         if let Some(matches) = table.get(&scratch) {
-                            for m in matches {
-                                let mut r = row.clone();
-                                r.extend_from_slice(m);
-                                out.push(r);
-                            }
+                            out.extend(matches.iter().map(|m| Cow::Owned(picks.row(row, m))));
                         }
                     }
                 }
-                Ok(out)
+                Ok(Output::new(out, picks.schema))
             }
-            PlanOp::Hash => self.run(&node.children[0]),
+            PlanOp::Hash => self.run(&node.children[0], needs),
             PlanOp::Aggregate { group_by, outputs, having, hash } => {
-                let child = &node.children[0];
-                let schema = child.output_schema();
-                let input = self.run(child)?;
-                agg::aggregate(
+                let child_needs = Needs::of_exprs(
+                    group_by.iter().chain(outputs.iter().map(|o| &o.expr)).chain(having),
+                );
+                let input = self.run(&node.children[0], &child_needs)?;
+                let rows = agg::aggregate(
                     &mut self.counters,
-                    &input,
-                    &schema,
+                    &input.rows,
+                    &input.schema,
                     group_by,
                     outputs,
                     having.as_ref(),
                     *hash,
                     self.guard,
-                )
+                )?;
+                Ok(Output::finished(rows.into_iter().map(Cow::Owned).collect()))
             }
-            PlanOp::Sort { keys } => {
-                let child = &node.children[0];
-                let schema = child.output_schema();
-                let input = self.run(child)?;
-                sort::full_sort(&mut self.counters, input, &schema, keys, self.guard)
-            }
+            PlanOp::Sort { keys } => self.sort(node, keys, None, needs),
             PlanOp::TopNSort { keys, limit, offset } => {
-                let child = &node.children[0];
-                let schema = child.output_schema();
-                let input = self.run(child)?;
-                sort::top_n(&mut self.counters, input, &schema, keys, *limit, *offset, self.guard)
+                let needs = needs.with_exprs(keys.iter().map(|(k, _)| k));
+                let input = self.run(&node.children[0], &needs)?;
+                let rows = sort::top_n(
+                    &mut self.counters,
+                    input.rows,
+                    &input.schema,
+                    keys,
+                    *limit,
+                    *offset,
+                    self.guard,
+                )?;
+                Ok(Output::new(rows, input.schema))
             }
-            PlanOp::Limit { limit, offset } => self.limit(node, *limit, *offset),
+            PlanOp::Limit { limit, offset } => self.limit(node, *limit, *offset, needs),
             PlanOp::Projection { exprs, .. } => {
                 let child = &node.children[0];
                 // Aggregates / output sorts already produce final rows.
                 if produces_final_rows(child) {
-                    return self.run(child);
+                    return self.run(child, needs);
                 }
-                let schema = child.output_schema();
-                let input = self.run(child)?;
-                self.guard.charge_cells(input.len() as u64 * exprs.len().max(1) as u64)?;
-                let mut out = Vec::with_capacity(input.len());
-                for (i, row) in input.into_iter().enumerate() {
+                let input = self.run(child, &Needs::of_exprs(exprs))?;
+                self.guard.charge_cells(input.rows.len() as u64 * exprs.len().max(1) as u64)?;
+                let mut out = Vec::with_capacity(input.rows.len());
+                for (i, row) in input.rows.iter().enumerate() {
                     if i % GUARD_CHECK_ROWS == 0 {
                         self.guard.check()?;
                     }
-                    let mut projected = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        projected.push(eval(e, &schema, &row)?);
-                    }
-                    out.push(projected);
+                    let projected = exprs
+                        .iter()
+                        .map(|e| eval(e, &input.schema, row))
+                        .collect::<Result<Row, _>>()?;
+                    out.push(Cow::Owned(projected));
                 }
-                Ok(out)
+                Ok(Output::finished(out))
             }
             PlanOp::OutputSort { keys } => {
-                let input = self.run(&node.children[0])?;
-                sort::output_sort(&mut self.counters, input, keys, self.guard)
+                // Positional keys over final rows: every column counts.
+                let input = self.run(&node.children[0], &Needs::All)?;
+                let rows = sort::output_sort(&mut self.counters, input.rows, keys, self.guard)?;
+                Ok(Output::finished(rows))
             }
             PlanOp::Insert { .. } | PlanOp::Update { .. } | PlanOp::Delete { .. } => {
                 Err(ExecError::BadPlan(
@@ -559,21 +655,38 @@ impl Executor<'_> {
         }
     }
 
+    /// Full sort of `node`'s input; `prefix` bounds how many leading rows of
+    /// the sorted order the caller will read (a Limit directly above).
+    fn sort(
+        &mut self,
+        node: &PlanNode,
+        keys: &[(BoundExpr, bool)],
+        prefix: Option<usize>,
+        needs: &Needs,
+    ) -> Result<Output<'a>, ExecError> {
+        let needs = needs.with_exprs(keys.iter().map(|(k, _)| k));
+        let input = self.run(&node.children[0], &needs)?;
+        let rows =
+            sort::full_sort(&mut self.counters, input.rows, &input.schema, keys, prefix, self.guard)?;
+        Ok(Output::new(rows, input.schema))
+    }
+
     fn table_scan(
         &mut self,
         slot: usize,
         columns: &[usize],
         pushed: Option<&BoundExpr>,
-    ) -> Result<Vec<Row>, ExecError> {
+    ) -> Result<Vec<RowRef<'a>>, ExecError> {
+        let db = self.db;
         let name: &str = &self.query.tables[slot].name;
-        let stored = self
-            .db
+        let stored = db
             .stored_table(name)
             .ok_or_else(|| ExecError::MissingTable(name.to_string()))?;
-        // Both scan shapes materialize the touched cells; charge the guard's
-        // memory budget before allocating. Count rows on the side this
-        // engine scans: AP-only snapshot views keep their row store empty,
-        // so the combined `row_count()` invariant doesn't hold here.
+        // Both scan shapes charge the guard's memory budget for the touched
+        // cells (borrowed or not, so the charge is independent of how the
+        // interpreter holds rows). Count rows on the side this engine
+        // scans: AP-only snapshot views keep their row store empty, so the
+        // combined `row_count()` invariant doesn't hold here.
         let scan_rows = match self.engine {
             EngineKind::Tp => stored.rows.row_count(),
             EngineKind::Ap => stored.cols.row_count(),
@@ -584,20 +697,12 @@ impl Executor<'_> {
                 // Row-store scan: full tuples are touched even if the plan
                 // only materializes a subset. Tombstoned slots are skipped.
                 self.counters.rows_scanned += stored.row_count() as u64;
-                let full_width = stored.rows.width();
-                if columns.len() == full_width && columns.iter().copied().eq(0..full_width) {
-                    if !stored.rows.has_deletions() {
-                        Ok(stored.rows.rows().to_vec())
-                    } else {
-                        Ok(stored.rows.iter_live().map(|(_, r)| r.clone()).collect())
-                    }
-                } else {
-                    Ok(stored
-                        .rows
-                        .iter_live()
-                        .map(|(_, r)| columns.iter().map(|&c| r[c].clone()).collect())
-                        .collect())
-                }
+                let whole = is_whole_row(columns, stored.rows.width());
+                Ok(stored
+                    .rows
+                    .iter_live()
+                    .map(|(_, r)| stored_row(r, columns, whole))
+                    .collect())
             }
             EngineKind::Ap => {
                 // Column-store scan: touch only the referenced columns of
@@ -609,7 +714,7 @@ impl Executor<'_> {
                     ap_scan_access(stored, slot, pushed, columns.len(), &mut self.counters);
                 let rids = sel
                     .unwrap_or_else(|| (0..stored.cols.physical_len() as u32).collect());
-                Ok(stored.cols.gather(columns, &rids))
+                Ok(stored.cols.gather(columns, &rids).into_iter().map(Cow::Owned).collect())
             }
         }
     }
@@ -620,10 +725,10 @@ impl Executor<'_> {
         column_idx: usize,
         lookup: &IndexLookup,
         columns: &[usize],
-    ) -> Result<Vec<Row>, ExecError> {
+    ) -> Result<Vec<RowRef<'a>>, ExecError> {
+        let db = self.db;
         let name: &str = &self.query.tables[slot].name;
-        let table = self
-            .db
+        let table = db
             .row_table(name)
             .ok_or_else(|| ExecError::MissingTable(name.to_string()))?;
         let index = table
@@ -647,39 +752,45 @@ impl Executor<'_> {
         };
         self.counters.index_fetches += rids.len() as u64;
         self.counters.rows_scanned += rids.len() as u64;
+        let whole = is_whole_row(columns, table.width());
         Ok(rids
             .iter()
-            .map(|&rid| {
-                let full = table.row(rid as usize);
-                columns.iter().map(|&c| full[c].clone()).collect()
-            })
+            .map(|&rid| stored_row(table.row(rid as usize), columns, whole))
             .collect())
     }
 
-    /// Limit with a streaming fast path for index-ordered top-N: when the
-    /// input is `Filter(IndexScan(Ordered))` or `IndexScan(Ordered)`, rows
-    /// are fetched in index order and the scan stops as soon as
-    /// `limit + offset` rows qualify.
-    fn limit(&mut self, node: &PlanNode, limit: u64, offset: u64) -> Result<Vec<Row>, ExecError> {
+    /// Limit with two fast paths: a Sort directly below only sorts the
+    /// `limit + offset` prefix it will keep, and index-ordered top-N
+    /// (`Filter(IndexScan(Ordered))` or `IndexScan(Ordered)`) fetches rows
+    /// in index order and stops as soon as `limit + offset` rows qualify.
+    fn limit(
+        &mut self,
+        node: &PlanNode,
+        limit: u64,
+        offset: u64,
+        needs: &Needs,
+    ) -> Result<Output<'a>, ExecError> {
         let child = &node.children[0];
-        let need = (limit + offset) as usize;
-        let streamed = self.try_streaming_topn(child, need)?;
-        let rows = match streamed {
-            Some(rows) => rows,
-            None => self.run(child)?,
+        let need = usize::try_from(limit.saturating_add(offset)).unwrap_or(usize::MAX);
+        let Output { rows, schema } = if let PlanOp::Sort { keys } = &child.op {
+            // The Sort node's own entry check, as `run` would make it.
+            self.guard.check()?;
+            self.sort(child, keys, Some(need), needs)?
+        } else {
+            match self.try_streaming_topn(child, need)? {
+                Some(out) => out,
+                None => self.run(child, needs)?,
+            }
         };
-        Ok(rows
-            .into_iter()
-            .skip(offset as usize)
-            .take(limit as usize)
-            .collect())
+        let rows = rows.into_iter().skip(offset as usize).take(limit as usize).collect();
+        Ok(Output::new(rows, schema))
     }
 
     fn try_streaming_topn(
         &mut self,
         child: &PlanNode,
         need: usize,
-    ) -> Result<Option<Vec<Row>>, ExecError> {
+    ) -> Result<Option<Output<'a>>, ExecError> {
         // Unwrap an optional Filter above the ordered index scan.
         let (filter, scan) = match &child.op {
             PlanOp::Filter { predicate } => (Some(predicate), &child.children[0]),
@@ -695,16 +806,17 @@ impl Executor<'_> {
             return Ok(None);
         };
         let schema = scan.output_schema();
+        let db = self.db;
         let name: &str = &self.query.tables[*table_slot].name;
-        let table = self
-            .db
+        let table = db
             .row_table(name)
             .ok_or_else(|| ExecError::MissingTable(name.to_string()))?;
         let index = table
             .index_on(*column_idx)
             .ok_or_else(|| ExecError::BadPlan(format!("no index on {name}.{column_idx}")))?;
         self.counters.index_probes += 1;
-        let mut out = Vec::with_capacity(need);
+        let whole = is_whole_row(columns, table.width());
+        let mut out = Vec::with_capacity(need.min(table.row_count()));
         for (i, rid) in index.ordered_row_ids(*descending).into_iter().enumerate() {
             if out.len() >= need {
                 break;
@@ -714,8 +826,7 @@ impl Executor<'_> {
             }
             self.counters.index_fetches += 1;
             self.counters.rows_scanned += 1;
-            let full = table.row(rid as usize);
-            let row: Row = columns.iter().map(|&c| full[c].clone()).collect();
+            let row = stored_row(table.row(rid as usize), columns, whole);
             if let Some(pred) = filter {
                 self.counters.filter_evals += 1;
                 if !eval_predicate(pred, &schema, &row)? {
@@ -724,8 +835,152 @@ impl Executor<'_> {
             }
             out.push(row);
         }
-        Ok(Some(out))
+        Ok(Some(Output::new(out, schema)))
     }
+}
+
+/// Nested-loop join kernel: emits matches outer-major, inner-minor (the
+/// per-pair loop's order) and charges `outer × inner` pairs in bulk.
+///
+/// When every inner key is an `Int`, the inner key columns are flattened
+/// into contiguous `i64` vectors once, and each outer row whose keys are
+/// all `Int` scans them directly. Any other outer row, or an inner side
+/// with a non-`Int` key, compares per pair with [`Value::sql_eq`] —
+/// cross-type equality (`Int 3 = Float 3.0`) and NULL-never-matches
+/// stay exactly as the per-pair loop has them. Matches are built with
+/// `picks` and the residual, if any, is evaluated on the built row.
+fn nested_loop_join<'a>(
+    counters: &mut WorkCounters,
+    guard: &ExecGuard,
+    outer: &[RowRef<'a>],
+    inner: &[RowRef<'a>],
+    keys: &[(usize, usize)],
+    residual: Option<&BoundExpr>,
+    picks: &JoinPicks,
+) -> Result<Vec<RowRef<'a>>, ExecError> {
+    let inner_ints: Option<Vec<Vec<i64>>> = keys
+        .iter()
+        .map(|&(_, r)| {
+            inner
+                .iter()
+                .map(|row| match row[r] {
+                    Value::Int(v) => Some(v),
+                    _ => None,
+                })
+                .collect()
+        })
+        .collect();
+    let mut out = Vec::new();
+    let mut outer_ints: Vec<i64> = Vec::with_capacity(keys.len());
+    let mut hits: Vec<usize> = Vec::new();
+    let mut pairs_since_check = 0usize;
+    for o in outer {
+        pairs_since_check += inner.len();
+        if pairs_since_check >= GUARD_CHECK_ROWS {
+            pairs_since_check = 0;
+            guard.check()?;
+        }
+        hits.clear();
+        outer_ints.clear();
+        outer_ints.extend(keys.iter().map_while(|&(l, _)| match o[l] {
+            Value::Int(v) => Some(v),
+            _ => None,
+        }));
+        match inner_ints.as_deref() {
+            Some(cols) if outer_ints.len() == keys.len() => match cols.split_first() {
+                // No equi-keys (a residual-only join): every pair matches.
+                None => hits.extend(0..inner.len()),
+                Some((first, rest)) => {
+                    let (x, rest_x) = (outer_ints[0], &outer_ints[1..]);
+                    for (j, &v) in first.iter().enumerate() {
+                        if v == x && rest.iter().zip(rest_x).all(|(c, &y)| c[j] == y) {
+                            hits.push(j);
+                        }
+                    }
+                }
+            },
+            _ => hits.extend(
+                inner
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, i)| keys.iter().all(|&(l, r)| o[l].sql_eq(&i[r])))
+                    .map(|(j, _)| j),
+            ),
+        }
+        for &j in &hits {
+            let row = picks.row(o, &inner[j]);
+            if let Some(resid) = residual {
+                counters.filter_evals += 1;
+                if !eval_predicate(resid, &picks.schema, &row)? {
+                    continue;
+                }
+            }
+            out.push(Cow::Owned(row));
+        }
+    }
+    counters.nlj_pairs += outer.len() as u64 * inner.len() as u64;
+    Ok(out)
+}
+
+/// Which output columns an operator must actually materialize — the
+/// late-materialization analysis both the batch executor and the row
+/// interpreter's joins use: a column no ancestor reads is never copied.
+#[derive(Clone)]
+pub(crate) enum Needs {
+    /// Everything (root default).
+    All,
+    /// Only these `(table_slot, column_idx)` pairs.
+    Cols(Rc<HashSet<(usize, usize)>>),
+}
+
+impl Needs {
+    pub(crate) fn contains(&self, slot: usize, cidx: usize) -> bool {
+        match self {
+            Needs::All => true,
+            Needs::Cols(set) => set.contains(&(slot, cidx)),
+        }
+    }
+
+    /// This need-set plus every column referenced by `exprs`.
+    pub(crate) fn with_exprs<'e>(&self, exprs: impl IntoIterator<Item = &'e BoundExpr>) -> Needs {
+        match self {
+            Needs::All => Needs::All,
+            Needs::Cols(set) => {
+                let mut set = (**set).clone();
+                for e in exprs {
+                    add_refs(e, &mut set);
+                }
+                Needs::Cols(Rc::new(set))
+            }
+        }
+    }
+
+    pub(crate) fn with_keys(&self, keys: &[ColumnRef]) -> Needs {
+        match self {
+            Needs::All => Needs::All,
+            Needs::Cols(set) => {
+                let mut set = (**set).clone();
+                for k in keys {
+                    set.insert((k.table_slot, k.column_idx));
+                }
+                Needs::Cols(Rc::new(set))
+            }
+        }
+    }
+
+    pub(crate) fn of_exprs<'e>(exprs: impl IntoIterator<Item = &'e BoundExpr>) -> Needs {
+        let mut set = HashSet::new();
+        for e in exprs {
+            add_refs(e, &mut set);
+        }
+        Needs::Cols(Rc::new(set))
+    }
+}
+
+fn add_refs(expr: &BoundExpr, set: &mut HashSet<(usize, usize)>) {
+    expr.walk_columns(&mut |c| {
+        set.insert((c.table_slot, c.column_idx));
+    });
 }
 
 /// Plans one AP columnar scan's physical access: applies zone-map pruning

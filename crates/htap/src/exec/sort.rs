@@ -1,19 +1,23 @@
 //! Sort, top-N and output-sort execution.
 //!
-//! Two flavors share one comparator: the row interpreter sorts materialized
-//! rows; the vectorized executor sorts *selection vectors* over column
-//! batches ([`full_sort_indices`], [`top_n_indices`]) and defers row
-//! materialization to the consumer. Both use the same key comparison and the
-//! same (stable sort / bounded-buffer) algorithms so tie-breaking — and
-//! therefore output order — is identical across executors.
+//! Two flavors share one key order ([`Value::total_cmp`] per key, reversed
+//! for DESC): the row interpreter sorts its in-flight rows by a permutation
+//! over flat pre-evaluated key columns ([`full_sort`]) or a bounded buffer
+//! ([`top_n`]); the vectorized executor sorts *selection vectors* over
+//! column batches ([`full_sort_indices`], [`top_n_indices`]) and defers row
+//! materialization to the consumer. Every kernel produces the *stable*
+//! order — equal keys keep input order, for full sorts, fused Sort→Limit
+//! prefixes and bounded top-N buffers alike — so tie-breaking, and
+//! therefore output order, is identical across executors and engines.
 
 use super::guard::ExecGuard;
-use super::{ExecError, Row, WorkCounters, GUARD_CHECK_ROWS};
+use super::{ExecError, RowRef, WorkCounters, GUARD_CHECK_ROWS};
 use crate::eval::{eval, Schema};
 use crate::storage::col_store::ColumnData;
 use qpe_sql::binder::BoundExpr;
 use qpe_sql::value::Value;
 use std::cmp::Ordering;
+use std::ops::Deref;
 
 /// Compares two rows on pre-computed key values.
 fn cmp_keys(a: &[Value], b: &[Value], descs: &[bool]) -> Ordering {
@@ -34,30 +38,121 @@ pub(crate) fn charge_sort_comparisons(counters: &mut WorkCounters, n: u64) {
     counters.sort_comparisons += n * (64 - n.max(1).leading_zeros() as u64).max(1);
 }
 
+/// One sort key evaluated over the whole input, in the narrowest flat form
+/// its values allow. An all-`Int` or all-`Float` key compares as `i64` /
+/// `f64` exactly as [`Value::total_cmp`] orders those variants; any other
+/// mix keeps the values and compares them with `total_cmp` itself.
+enum KeyColumn {
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Values(Vec<Value>),
+}
+
+impl KeyColumn {
+    fn new(values: Vec<Value>) -> KeyColumn {
+        let ints: Option<Vec<i64>> = values
+            .iter()
+            .map(|v| match v {
+                Value::Int(x) => Some(*x),
+                _ => None,
+            })
+            .collect();
+        if let Some(ints) = ints {
+            return KeyColumn::Int(ints);
+        }
+        let floats: Option<Vec<f64>> = values
+            .iter()
+            .map(|v| match v {
+                Value::Float(x) => Some(*x),
+                _ => None,
+            })
+            .collect();
+        match floats {
+            Some(floats) => KeyColumn::Float(floats),
+            None => KeyColumn::Values(values),
+        }
+    }
+
+    fn cmp(&self, a: usize, b: usize) -> Ordering {
+        match self {
+            KeyColumn::Int(v) => v[a].cmp(&v[b]),
+            KeyColumn::Float(v) => v[a].total_cmp(&v[b]),
+            KeyColumn::Values(v) => v[a].total_cmp(&v[b]),
+        }
+    }
+}
+
 /// Full sort on expression keys (TP's only ORDER BY strategy without an
 /// index; also AP's when no LIMIT bounds the sort).
-pub fn full_sort(
+///
+/// Keys are evaluated once, row by row, into one flat column per key (see
+/// [`KeyColumn`]); a `u32` permutation is then ordered by (keys, input
+/// position) — a total order whose sorted sequence is exactly the stable
+/// sort's. With `prefix = Some(k)` (a Limit directly above reads only the
+/// first `k` rows) the `k` smallest positions are selected first and only
+/// they are sorted: the same rows in the same order as the first `k` of the
+/// full sort. `sort_comparisons` is charged n·log2 n on the full input
+/// either way.
+pub fn full_sort<'a>(
     counters: &mut WorkCounters,
-    input: Vec<Row>,
+    mut input: Vec<RowRef<'a>>,
     schema: &Schema,
     keys: &[(BoundExpr, bool)],
+    prefix: Option<usize>,
     guard: &ExecGuard,
-) -> Result<Vec<Row>, ExecError> {
-    let descs: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
-    let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(input.len());
-    for (i, row) in input.into_iter().enumerate() {
+) -> Result<Vec<RowRef<'a>>, ExecError> {
+    let n = input.len();
+    // A bare-column key reads its cell directly; anything else (a missing
+    // column's error included) goes through the evaluator.
+    let cells: Vec<Option<usize>> = keys
+        .iter()
+        .map(|(k, _)| {
+            k.as_bare_column()
+                .and_then(|c| schema.position(c.table_slot, c.column_idx))
+        })
+        .collect();
+    let mut values: Vec<Vec<Value>> = keys.iter().map(|_| Vec::with_capacity(n)).collect();
+    for (i, row) in input.iter().enumerate() {
         if i % GUARD_CHECK_ROWS == 0 {
             guard.check()?;
         }
-        let kv: Vec<Value> = keys
-            .iter()
-            .map(|(k, _)| eval(k, schema, &row))
-            .collect::<Result<_, _>>()?;
-        keyed.push((kv, row));
+        for (((k, _), cell), col) in keys.iter().zip(&cells).zip(values.iter_mut()) {
+            col.push(match cell {
+                Some(p) => row[*p].clone(),
+                None => eval(k, schema, row)?,
+            });
+        }
     }
-    charge_sort_comparisons(counters, keyed.len() as u64);
-    keyed.sort_by(|(ka, _), (kb, _)| cmp_keys(ka, kb, &descs));
-    Ok(keyed.into_iter().map(|(_, r)| r).collect())
+    charge_sort_comparisons(counters, n as u64);
+    let columns: Vec<(KeyColumn, bool)> = values
+        .into_iter()
+        .map(KeyColumn::new)
+        .zip(keys.iter().map(|(_, d)| *d))
+        .collect();
+    let order = |a: &u32, b: &u32| {
+        for (col, desc) in &columns {
+            let o = col.cmp(*a as usize, *b as usize);
+            let o = if *desc { o.reverse() } else { o };
+            if o != Ordering::Equal {
+                return o;
+            }
+        }
+        a.cmp(b)
+    };
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    let keep = prefix.unwrap_or(n);
+    if keep < n {
+        if keep == 0 {
+            return Ok(Vec::new());
+        }
+        perm.select_nth_unstable_by(keep - 1, order);
+        perm.truncate(keep);
+    }
+    perm.sort_unstable_by(order);
+    Ok(perm
+        .into_iter()
+        .map(|p| std::mem::take(&mut input[p as usize]))
+        .collect())
 }
 
 /// Vectorized full sort: stable-sorts the selection by pre-computed key
@@ -161,16 +256,20 @@ pub fn full_sort_indices_par(
 }
 
 /// Bounded top-N selection (AP's dedicated operator): keeps the best
-/// `limit + offset` rows, then drops the first `offset`.
-pub fn top_n(
+/// `limit + offset` rows, then drops the first `offset`. A new row goes in
+/// *after* every buffered row with an equal key, and a full buffer admits
+/// only a strictly better row, so the result is exactly the first
+/// `limit + offset` rows of the stable full sort — the order TP's Sort and
+/// Limit produce.
+pub fn top_n<'a>(
     counters: &mut WorkCounters,
-    input: Vec<Row>,
+    input: Vec<RowRef<'a>>,
     schema: &Schema,
     keys: &[(BoundExpr, bool)],
     limit: u64,
     offset: u64,
     guard: &ExecGuard,
-) -> Result<Vec<Row>, ExecError> {
+) -> Result<Vec<RowRef<'a>>, ExecError> {
     let need = (limit + offset) as usize;
     if need == 0 {
         return Ok(Vec::new());
@@ -178,7 +277,7 @@ pub fn top_n(
     let descs: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
     // Simple bounded selection: maintain a sorted buffer of at most `need`
     // rows. Each push charges one heap operation.
-    let mut buf: Vec<(Vec<Value>, Row)> = Vec::with_capacity(need + 1);
+    let mut buf: Vec<(Vec<Value>, RowRef<'a>)> = Vec::with_capacity(need.min(input.len()) + 1);
     for (i, row) in input.into_iter().enumerate() {
         if i % GUARD_CHECK_ROWS == 0 {
             guard.check()?;
@@ -188,24 +287,32 @@ pub fn top_n(
             .iter()
             .map(|(k, _)| eval(k, schema, &row))
             .collect::<Result<_, _>>()?;
-        if buf.len() < need {
-            let pos = buf
-                .binary_search_by(|(k, _)| cmp_keys(k, &kv, &descs))
-                .unwrap_or_else(|p| p);
-            buf.insert(pos, (kv, row));
-        } else if cmp_keys(&kv, &buf[need - 1].0, &descs) == Ordering::Less {
-            let pos = buf
-                .binary_search_by(|(k, _)| cmp_keys(k, &kv, &descs))
-                .unwrap_or_else(|p| p);
-            buf.insert(pos, (kv, row));
-            buf.pop();
-        }
+        insert_stable(&mut buf, need, kv, row, &descs);
     }
     Ok(buf
         .into_iter()
         .skip(offset as usize)
         .map(|(_, r)| r)
         .collect())
+}
+
+/// One bounded top-N push: inserts `(kv, item)` after the last buffered
+/// entry whose key is not greater (ties keep arrival order), evicting the
+/// worst entry when the buffer already holds `need`; a full buffer ignores
+/// an entry that does not beat its worst.
+fn insert_stable<T>(
+    buf: &mut Vec<(Vec<Value>, T)>,
+    need: usize,
+    kv: Vec<Value>,
+    item: T,
+    descs: &[bool],
+) {
+    if buf.len() >= need && cmp_keys(&kv, &buf[need - 1].0, descs) != Ordering::Less {
+        return;
+    }
+    let pos = buf.partition_point(|(k, _)| cmp_keys(k, &kv, descs) != Ordering::Greater);
+    buf.insert(pos, (kv, item));
+    buf.truncate(need);
 }
 
 /// Vectorized top-N: identical bounded-buffer algorithm as [`top_n`], driven
@@ -225,7 +332,7 @@ pub fn top_n_indices(
     if need == 0 {
         return Vec::new();
     }
-    let mut buf: Vec<(Vec<Value>, u32)> = Vec::with_capacity(need + 1);
+    let mut buf: Vec<(Vec<Value>, u32)> = Vec::with_capacity(need.min(sel.len()) + 1);
     for (j, phys) in sel.into_iter().enumerate() {
         if j % GUARD_CHECK_ROWS == 0 && guard.poll() {
             // Abandon on trip; the caller's next check discards this.
@@ -233,18 +340,7 @@ pub fn top_n_indices(
         }
         counters.topn_pushes += 1;
         let kv: Vec<Value> = key_cols.iter().map(|c| c.get(j)).collect();
-        if buf.len() < need {
-            let pos = buf
-                .binary_search_by(|(k, _)| cmp_keys(k, &kv, descs))
-                .unwrap_or_else(|p| p);
-            buf.insert(pos, (kv, phys));
-        } else if cmp_keys(&kv, &buf[need - 1].0, descs) == Ordering::Less {
-            let pos = buf
-                .binary_search_by(|(k, _)| cmp_keys(k, &kv, descs))
-                .unwrap_or_else(|p| p);
-            buf.insert(pos, (kv, phys));
-            buf.pop();
-        }
+        insert_stable(&mut buf, need, kv, phys, descs);
     }
     buf.into_iter()
         .skip(offset as usize)
@@ -254,12 +350,12 @@ pub fn top_n_indices(
 
 /// Positional sort over already-projected output rows (ORDER BY on
 /// aggregated projections).
-pub fn output_sort(
+pub fn output_sort<R: Deref<Target = [Value]>>(
     counters: &mut WorkCounters,
-    mut input: Vec<Row>,
+    mut input: Vec<R>,
     keys: &[(usize, bool)],
     guard: &ExecGuard,
-) -> Result<Vec<Row>, ExecError> {
+) -> Result<Vec<R>, ExecError> {
     guard.check()?;
     charge_sort_comparisons(counters, input.len() as u64);
     input.sort_by(|a, b| {
@@ -310,5 +406,76 @@ mod tests {
         // ascending: 1 (idx 3), 2 (idx 1), 3 (idx 5) → offset 1 drops idx 3
         assert_eq!(top, vec![1, 5]);
         assert_eq!(c.topn_pushes, 6);
+    }
+
+    /// Tie-heavy keys: the first `need` positions of the stable sort.
+    fn stable_prefix(keys: &[i64], descs: bool, need: usize) -> Vec<u32> {
+        let mut idx: Vec<u32> = (0..keys.len() as u32).collect();
+        idx.sort_by(|&a, &b| {
+            let o = keys[a as usize].cmp(&keys[b as usize]);
+            if descs {
+                o.reverse()
+            } else {
+                o
+            }
+        });
+        idx.truncate(need);
+        idx
+    }
+
+    #[test]
+    fn top_n_keeps_ties_in_input_order() {
+        let keys: Vec<i64> = (0..200).map(|i| (i * 7 % 5) / 2).collect();
+        let schema = Schema::new(vec![(0, 0), (0, 1)]);
+        let key = qpe_sql::binder::BoundExpr::Column(qpe_sql::binder::ColumnRef {
+            table_slot: 0,
+            column_idx: 0,
+            data_type: qpe_sql::catalog::DataType::Int,
+        });
+        let rows: Vec<Vec<Value>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| vec![Value::Int(k), Value::Int(i as i64)])
+            .collect();
+        for desc in [false, true] {
+            for (limit, offset) in [(1, 0), (5, 0), (30, 10), (50, 75), (10, 195), (5, 400)] {
+                let want: Vec<u32> = stable_prefix(&keys, desc, limit + offset)
+                    .into_iter()
+                    .skip(offset)
+                    .collect();
+                let sel: Vec<u32> = (0..keys.len() as u32).collect();
+                let mut c = WorkCounters::default();
+                let got = top_n_indices(
+                    &mut c,
+                    &[ColumnData::Int(keys.clone())],
+                    &[desc],
+                    sel,
+                    limit as u64,
+                    offset as u64,
+                    ExecGuard::unlimited(),
+                );
+                assert_eq!(
+                    got, want,
+                    "indices desc {desc} limit {limit} offset {offset}"
+                );
+                assert_eq!(c.topn_pushes, keys.len() as u64);
+                let input: Vec<RowRef<'_>> =
+                    rows.iter().map(|r| RowRef::Borrowed(&r[..])).collect();
+                let mut c = WorkCounters::default();
+                let got = top_n(
+                    &mut c,
+                    input,
+                    &schema,
+                    &[(key.clone(), desc)],
+                    limit as u64,
+                    offset as u64,
+                    ExecGuard::unlimited(),
+                )
+                .unwrap();
+                let got: Vec<u32> = got.iter().map(|r| r[1].as_int().unwrap() as u32).collect();
+                assert_eq!(got, want, "rows desc {desc} limit {limit} offset {offset}");
+                assert_eq!(c.topn_pushes, keys.len() as u64);
+            }
+        }
     }
 }

@@ -28,15 +28,14 @@
 //! exact serial executor.
 
 use super::parallel::{self, ExecConfig};
-use super::{agg, produces_final_rows, sort, ExecError, Row, WorkCounters};
+use super::{agg, produces_final_rows, sort, ExecError, Needs, Row, WorkCounters};
 use crate::engine::Database;
 use crate::eval::{eval_predicate_mask, BatchView, Schema};
 use crate::plan::{PlanNode, PlanOp};
 use crate::storage::col_store::{ColRef, ColumnData, FOR_BLOCK_ROWS};
 use qpe_sql::binder::{BoundExpr, BoundQuery, ColumnRef};
 use qpe_sql::value::Value;
-use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
+use std::collections::HashMap;
 
 /// One column of a batch.
 enum BatchCol<'a> {
@@ -128,65 +127,6 @@ impl<'a> Batch<'a> {
 enum VOut<'a> {
     Batch(Batch<'a>),
     Rows(Vec<Row>),
-}
-
-/// Which output columns an operator must actually materialize.
-#[derive(Clone)]
-enum Needs {
-    /// Everything (root default).
-    All,
-    /// Only these `(table_slot, column_idx)` pairs.
-    Cols(Rc<HashSet<(usize, usize)>>),
-}
-
-impl Needs {
-    fn contains(&self, slot: usize, cidx: usize) -> bool {
-        match self {
-            Needs::All => true,
-            Needs::Cols(set) => set.contains(&(slot, cidx)),
-        }
-    }
-
-    /// This need-set plus every column referenced by `exprs`.
-    fn with_exprs<'e>(&self, exprs: impl IntoIterator<Item = &'e BoundExpr>) -> Needs {
-        match self {
-            Needs::All => Needs::All,
-            Needs::Cols(set) => {
-                let mut set = (**set).clone();
-                for e in exprs {
-                    add_refs(e, &mut set);
-                }
-                Needs::Cols(Rc::new(set))
-            }
-        }
-    }
-
-    fn with_keys(&self, keys: &[ColumnRef]) -> Needs {
-        match self {
-            Needs::All => Needs::All,
-            Needs::Cols(set) => {
-                let mut set = (**set).clone();
-                for k in keys {
-                    set.insert((k.table_slot, k.column_idx));
-                }
-                Needs::Cols(Rc::new(set))
-            }
-        }
-    }
-
-    fn of_exprs<'e>(exprs: impl IntoIterator<Item = &'e BoundExpr>) -> Needs {
-        let mut set = HashSet::new();
-        for e in exprs {
-            add_refs(e, &mut set);
-        }
-        Needs::Cols(Rc::new(set))
-    }
-}
-
-fn add_refs(expr: &BoundExpr, set: &mut HashSet<(usize, usize)>) {
-    expr.walk_columns(&mut |c| {
-        set.insert((c.table_slot, c.column_idx));
-    });
 }
 
 /// True when every operator in `plan` is in the batch executor's vocabulary

@@ -124,9 +124,18 @@
 //! One plan vocabulary, three execution modes ([`exec`]):
 //!
 //! * **Row interpreter** ([`exec::execute_scalar`]) — the reference
-//!   semantics. Every operator materializes its output as `Vec<Vec<Value>>`
-//!   rows; TP plans always execute here (index probes are inherently
-//!   row-at-a-time).
+//!   semantics; TP plans always execute here (index probes are inherently
+//!   row-at-a-time). Rows flow as [`exec::RowRef`]s: TP scans and index
+//!   fetches borrow them from the row store (held under the statement's
+//!   read lock), Filter/Sort/Limit/Aggregate pass them through, and only
+//!   join outputs, projections and the final result build new rows — join
+//!   outputs copying just the cells an ancestor reads. Its kernels work on
+//!   flat data: the nested-loop join compares a contiguous `i64` inner key
+//!   column, and the full sort orders a `u32` permutation over keys
+//!   evaluated once, selecting only the `limit + offset` prefix when a
+//!   Limit sits directly above. The contract: a kernel may change
+//!   wall-clock time, never rows, their order, work counters, guard checks
+//!   or guard memory charges.
 //! * **Vectorized batch executor** ([`exec::vector`]) — AP plans execute
 //!   over *batches*: typed column arrays (borrowed zero-copy from the column
 //!   store) plus a selection vector. Filters evaluate column-at-a-time over

@@ -103,13 +103,6 @@ impl RowTable {
         &self.rows[rid]
     }
 
-    /// All physical slots in rid order, tombstones included — pair with
-    /// [`RowTable::has_deletions`] / [`RowTable::is_deleted`], or use
-    /// [`RowTable::iter_live`] for scan semantics.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        &self.rows
-    }
-
     /// Live rows in rid order (sequential scan order).
     pub fn iter_live(&self) -> impl Iterator<Item = (usize, &Vec<Value>)> {
         self.rows

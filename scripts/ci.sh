@@ -91,6 +91,22 @@ echo "==> loadgen smoke (ephemeral-port server, 8 wire clients, all three traffi
 # protocol errors after the multi-client traffic.
 cargo run --release -p qpe_bench --bin loadgen -- --smoke
 
+echo "==> perfbench smoke (explain_fresh, untraced and traced)"
+# The repository benchmark is its own cargo package (perfbench/). Every
+# request's output is checked; the traced run also replays each request
+# with spans and re-checks its rows and WorkCounters layer by layer. The
+# last stdout line is the JSON summary, which must report a correct run
+# with no failed operations.
+for trace in 0 1; do
+    summary=$(cargo run --offline --quiet --release --manifest-path perfbench/Cargo.toml -- \
+        --workload explain_fresh --seconds 3 --trace "$trace" | tail -n 1)
+    echo "$summary"
+    if ! grep -q '"correct": true' <<<"$summary" || ! grep -q '"failed": 0[,}]' <<<"$summary"; then
+        echo "perfbench smoke failed (trace=$trace)" >&2
+        exit 1
+    fi
+done
+
 echo "==> dirty-table executor comparison (encoded base + delta + tombstones)"
 # --dirty applies uncompacted INSERT/DELETEs first, so the scalar-vs-batch
 # agreement check runs over dictionary-encoded base blocks read through
